@@ -172,15 +172,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	r := &Replica{
 		rt:         rt,
 		adv:        opts.Adversary,
@@ -192,7 +183,7 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		sentNV:     make(map[types.View]bool),
 		roundStart: time.Now(),
 		curTimeout: cfg.ViewTimeout,
-		tick:       tick,
+		tick:       cfg.TickInterval(opts.Tick),
 	}
 	// The genesis node anchors the chain; its QC is implicit (round 0).
 	genesis := &Node{Round: 0}
@@ -248,6 +239,8 @@ func (r *Replica) Run(ctx context.Context) {
 			fn()
 		case <-ticker.C:
 			r.onTick()
+		case <-r.rt.Batcher.Due():
+			r.maybePropose(r.rt.Batcher.Ripe(time.Now()))
 		}
 	}
 }
@@ -732,13 +725,9 @@ func (r *Replica) pruneNodes() {
 
 func (r *Replica) onTick() {
 	now := time.Now()
-	cfg := r.rt.Cfg
 	// Snapshot state transfer runs on every tick: a replica whose node-chain
 	// gap has been pruned by every peer needs it to rejoin at all.
 	r.rt.Sync.Tick(now)
-	if Leader(cfg.N, r.curRound) == cfg.ID && r.rt.Batcher.Ripe(now) {
-		r.maybePropose(true)
-	}
 	if now.Sub(r.roundStart) > r.curTimeout {
 		// Round expired: move on. NewView is broadcast to ALL replicas so
 		// the pacemaker stays synchronized even when the next leader is

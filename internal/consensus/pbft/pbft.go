@@ -194,15 +194,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	r := &Replica{
 		rt:           rt,
 		adv:          opts.Adversary,
@@ -213,7 +204,7 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		curTimeout:   cfg.ViewTimeout,
 		vcVotes:      make(map[types.View]map[types.ReplicaID]*VCRequest),
 		sentVC:       make(map[types.View]bool),
-		tick:         tick,
+		tick:         cfg.TickInterval(opts.Tick),
 	}
 	rt.Sync.AfterInstall = r.afterInstall
 	if rt.RecoveredSeq > 0 {
@@ -262,6 +253,8 @@ func (r *Replica) Run(ctx context.Context) {
 			fn()
 		case <-ticker.C:
 			r.onTick()
+		case <-r.rt.Batcher.Due():
+			r.proposeReady(r.rt.Batcher.Ripe(time.Now()))
 		}
 	}
 }
@@ -649,13 +642,16 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 		r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
-	r.proposeReady(false)
+	// A partial batch that ripened while the window was full already had
+	// its timer wake-up; execution just freed the window, so propose it now.
+	now := time.Now()
+	r.proposeReady(r.rt.Batcher.Ripe(now))
 	if r.status == statusNormal {
 		// Execution progress is the under-load lease carrier (renewals ride
 		// next to the checkpoint broadcast) and the moment deferred STRONG
 		// reads may have caught up.
 		r.rt.MaybeGrantLease(r.view, false)
-		r.drainStrongReads(time.Now())
+		r.drainStrongReads(now)
 	}
 }
 
@@ -672,9 +668,6 @@ func (r *Replica) onTick() {
 	r.rt.Sync.Tick(now)
 	switch r.status {
 	case statusNormal:
-		if r.isPrimary() && r.rt.Batcher.Ripe(now) {
-			r.proposeReady(true)
-		}
 		r.maybeFetch()
 		r.drainStrongReads(now)
 		suspect := r.suspectPrimary(now)

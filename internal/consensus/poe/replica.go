@@ -42,8 +42,8 @@ type Options struct {
 	Adversary *protocol.AdversarySpec
 	// Byz injects custom malicious behaviour for tests; nil means honest.
 	Byz Byzantine
-	// Tick overrides the housekeeping interval (defaults to a quarter of
-	// the view timeout).
+	// Tick overrides the housekeeping interval (default
+	// Config.TickInterval: a quarter of the view timeout, at most 10 ms).
 	Tick time.Duration
 }
 
@@ -138,15 +138,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	byz := opts.Byz
 	if byz == nil && opts.Adversary != nil {
 		byz = specByz{opts.Adversary}
@@ -162,7 +153,7 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		curTimeout:   cfg.ViewTimeout,
 		vcVotes:      make(map[types.View]map[types.ReplicaID]*VCRequest),
 		sentVC:       make(map[types.View]bool),
-		tick:         tick,
+		tick:         cfg.TickInterval(opts.Tick),
 	}
 	rt.Sync.AfterInstall = r.afterInstall
 	if rt.RecoveredSeq > 0 {
@@ -220,6 +211,8 @@ func (r *Replica) Run(ctx context.Context) {
 			fn()
 		case <-ticker.C:
 			r.onTick()
+		case <-r.rt.Batcher.Due():
+			r.proposeReady(r.rt.Batcher.Ripe(time.Now()))
 		}
 	}
 }
@@ -689,13 +682,16 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 		r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
-	r.proposeReady(false)
+	// A partial batch that ripened while the window was full already had
+	// its timer wake-up; execution just freed the window, so propose it now.
+	now := time.Now()
+	r.proposeReady(r.rt.Batcher.Ripe(now))
 	if r.status == statusNormal {
 		// Execution progress is the under-load lease carrier (renewals ride
 		// next to the checkpoint broadcast) and the moment deferred STRONG
 		// reads may have caught up.
 		r.rt.MaybeGrantLease(r.view, false)
-		r.drainStrongReads(time.Now())
+		r.drainStrongReads(now)
 	}
 }
 
@@ -712,9 +708,6 @@ func (r *Replica) onTick() {
 	r.rt.Sync.Tick(now)
 	switch r.status {
 	case statusNormal:
-		if r.isPrimary() && r.rt.Batcher.Ripe(now) {
-			r.proposeReady(true)
-		}
 		r.maybeFetch()
 		r.drainStrongReads(now)
 		suspect := r.suspectPrimary(now)
@@ -780,6 +773,9 @@ func (r *Replica) resumeNormal(now time.Time) {
 	for _, s := range r.slots {
 		s.created = now
 	}
+	// A partial batch whose linger expired during the abandoned view change
+	// saw its timer wake-up while proposing was off.
+	r.proposeReady(r.rt.Batcher.Ripe(now))
 }
 
 // suspectPrimary reports whether outstanding work has been stuck beyond the

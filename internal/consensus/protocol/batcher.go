@@ -11,16 +11,21 @@ import (
 // deduplicating retransmissions against both the pending queue and the
 // already-proposed history.
 //
+// A partial batch is released when its oldest request has waited the linger
+// interval: the batcher keeps a timer armed for that deadline, and the event
+// loop selects on Due and then proposes whatever Ripe allows.
+//
 // Batcher is used from a single replica event loop and is not safe for
-// concurrent use.
+// concurrent use. The loop is also the only receiver on Due.
 type Batcher struct {
 	max         int
 	linger      time.Duration
 	zeroPayload bool
 
 	pending  []types.Request
-	oldest   time.Time
+	arrived  []time.Time // arrival time of each pending request
 	proposed map[types.ClientID]uint64
+	due      *time.Timer // linger deadline of pending[0]; nil until first armed
 }
 
 // NewBatcher creates a batcher producing batches of at most max requests.
@@ -39,26 +44,23 @@ func NewBatcher(max int, linger time.Duration, zeroPayload bool) *Batcher {
 // available. Duplicate requests (client-local sequence number not newer than
 // the last queued or proposed one) are dropped.
 func (b *Batcher) Add(req types.Request) bool {
-	if dedupExempt(&req.Txn) {
-		// Tiered reads falling back to ordering run in their own client-local
-		// sequence space: letting them touch the write watermark would either
-		// drop the read (seq at or below the watermark) or mask genuine
-		// writes (seq above it). They skip the watermark entirely; execution
-		// is idempotent, so a retransmitted fallback read merely re-executes.
-		if len(b.pending) == 0 {
-			b.oldest = time.Now()
+	// Tiered reads falling back to ordering run in their own client-local
+	// sequence space: letting them touch the write watermark would either
+	// drop the read (seq at or below the watermark) or mask genuine writes
+	// (seq above it). They skip the watermark entirely; execution is
+	// idempotent, so a retransmitted fallback read merely re-executes.
+	if !dedupExempt(&req.Txn) {
+		if req.Txn.Seq <= b.proposed[req.Txn.Client] {
+			return len(b.pending) >= b.max
 		}
-		b.pending = append(b.pending, req)
-		return len(b.pending) >= b.max
+		b.proposed[req.Txn.Client] = req.Txn.Seq
 	}
-	if req.Txn.Seq <= b.proposed[req.Txn.Client] {
-		return len(b.pending) >= b.max
-	}
-	b.proposed[req.Txn.Client] = req.Txn.Seq
-	if len(b.pending) == 0 {
-		b.oldest = time.Now()
-	}
+	now := time.Now()
 	b.pending = append(b.pending, req)
+	b.arrived = append(b.arrived, now)
+	if len(b.pending) == 1 {
+		b.arm(now)
+	}
 	return len(b.pending) >= b.max
 }
 
@@ -67,7 +69,42 @@ func (b *Batcher) Pending() int { return len(b.pending) }
 
 // Ripe reports whether a partial batch has lingered long enough to propose.
 func (b *Batcher) Ripe(now time.Time) bool {
-	return len(b.pending) > 0 && now.Sub(b.oldest) >= b.linger
+	return len(b.pending) > 0 && !now.Before(b.deadline())
+}
+
+// Due delivers a value when the oldest pending request's linger deadline
+// passes. The event loop selects on it and proposes with force set to Ripe:
+// a wake-up can be stale (the batch it was armed for already went out), so
+// Ripe, not the wake-up itself, decides. Due is nil, and blocks forever in
+// a select, until the first request is queued.
+func (b *Batcher) Due() <-chan time.Time {
+	if b.due == nil {
+		return nil
+	}
+	return b.due.C
+}
+
+// deadline is when the oldest pending request has lingered long enough.
+func (b *Batcher) deadline() time.Time { return b.arrived[0].Add(b.linger) }
+
+// arm points the linger timer at the oldest pending request's deadline.
+func (b *Batcher) arm(now time.Time) {
+	d := b.deadline().Sub(now)
+	if b.due == nil {
+		b.due = time.NewTimer(d)
+		return
+	}
+	// Timer rules before Go 1.23 (go.mod says 1.21): Reset only a stopped
+	// timer, and drain a value it already sent, or the loop wakes early.
+	// The loop is the only receiver, so the non-blocking drain never steals
+	// a wake-up it still needs.
+	if !b.due.Stop() {
+		select {
+		case <-b.due.C:
+		default:
+		}
+	}
+	b.due.Reset(d)
 }
 
 // Take removes and returns the next batch. If force is false, a batch is
@@ -86,10 +123,14 @@ func (b *Batcher) Take(force bool) (types.Batch, bool) {
 	}
 	reqs := make([]types.Request, n)
 	copy(reqs, b.pending[:n])
-	rest := b.pending[n:]
-	b.pending = append(b.pending[:0:0], rest...)
+	b.pending = append(b.pending[:0:0], b.pending[n:]...)
+	// The leftovers keep their own arrival times: their linger runs from
+	// when they arrived, not from when the batch ahead of them left.
+	b.arrived = append(b.arrived[:0:0], b.arrived[n:]...)
 	if len(b.pending) > 0 {
-		b.oldest = time.Now()
+		b.arm(time.Now())
+	} else {
+		b.due.Stop()
 	}
 	batch := types.Batch{Requests: reqs}
 	if b.zeroPayload {

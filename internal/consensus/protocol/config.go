@@ -41,7 +41,8 @@ type Config struct {
 	// (the paper's default is 100).
 	BatchSize int
 	// BatchLinger bounds how long the primary waits to fill a batch before
-	// proposing a partial one.
+	// proposing a partial one. The batcher's own timer enforces it
+	// (Batcher.Due), independent of the housekeeping tick.
 	BatchLinger time.Duration
 
 	// Window is the out-of-order window: the primary may run consensus for
@@ -114,6 +115,21 @@ func (c Config) WithDefaults() Config {
 		c.LeaseDuration = c.ViewTimeout / 4
 	}
 	return c
+}
+
+// TickInterval returns the period of a replica's housekeeping tick: the
+// override when non-zero, else a quarter of the view timeout capped at
+// 10 ms. The tick drives failure detection (which needs ≲ ViewTimeout/4),
+// lease renewal, fetch, and state sync.
+func (c Config) TickInterval(override time.Duration) time.Duration {
+	if override != 0 {
+		return override
+	}
+	tick := c.ViewTimeout / 4
+	if tick > 10*time.Millisecond {
+		tick = 10 * time.Millisecond
+	}
+	return tick
 }
 
 // NF returns nf = n − f, the size of the paper's large quorum.

@@ -251,19 +251,13 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	ct := opts.CollectorTimeout
 	if ct == 0 {
 		ct = 50 * time.Millisecond
 	}
+	// Collector timeouts are checked on the tick, so it runs at least twice
+	// per timeout.
+	tick := cfg.TickInterval(opts.Tick)
 	if tick > ct/2 {
 		tick = ct / 2
 	}
@@ -330,6 +324,8 @@ func (r *Replica) Run(ctx context.Context) {
 			fn()
 		case <-ticker.C:
 			r.onTick()
+		case <-r.rt.Batcher.Due():
+			r.proposeReady(r.rt.Batcher.Ripe(time.Now()))
 		}
 	}
 }
@@ -812,7 +808,9 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 			local)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
-	r.proposeReady(false)
+	// A partial batch that ripened while the window was full already had
+	// its timer wake-up; execution just freed the window, so propose it now.
+	r.proposeReady(r.rt.Batcher.Ripe(time.Now()))
 }
 
 // noteExecution retains the executor-side context needed to answer clients
@@ -919,9 +917,6 @@ func (r *Replica) onTick() {
 	r.rt.Sync.Tick(now)
 	switch r.status {
 	case statusNormal:
-		if r.isPrimary() && r.rt.Batcher.Ripe(now) {
-			r.proposeReady(true)
-		}
 		if r.isCollector() {
 			r.checkCollectorTimeouts(now)
 		}

@@ -189,15 +189,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	r := &Replica{
 		rt:               rt,
 		adv:              opts.Adversary,
@@ -209,7 +200,7 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		curTimeout:       cfg.ViewTimeout,
 		vcVotes:          make(map[types.View]map[types.ReplicaID]*VCRequest),
 		sentVC:           make(map[types.View]bool),
-		tick:             tick,
+		tick:             cfg.TickInterval(opts.Tick),
 	}
 	rt.Sync.AfterInstall = r.afterInstall
 	if rt.RecoveredSeq > 0 {
@@ -255,6 +246,8 @@ func (r *Replica) Run(ctx context.Context) {
 			fn()
 		case <-ticker.C:
 			r.onTick()
+		case <-r.rt.Batcher.Due():
+			r.proposeReady(r.rt.Batcher.Ripe(time.Now()))
 		}
 	}
 }
@@ -476,7 +469,10 @@ func (r *Replica) drainOrders() {
 		r.lastProgress = time.Now()
 		events := r.rt.Exec.Commit(m.Seq, m.View, m.Batch, nil)
 		r.afterExecution(events)
-		r.proposeReady(false)
+		// A partial batch that ripened while the window was full already
+		// had its timer wake-up; execution just freed the window, so
+		// propose it now.
+		r.proposeReady(r.rt.Batcher.Ripe(time.Now()))
 	}
 }
 
@@ -620,9 +616,6 @@ func (r *Replica) onTick() {
 	r.rt.Sync.Tick(now)
 	switch r.status {
 	case statusNormal:
-		if r.isPrimary() && r.rt.Batcher.Ripe(now) {
-			r.proposeReady(true)
-		}
 		if r.suspect(now) {
 			r.startViewChange(r.view + 1)
 		}
